@@ -66,9 +66,11 @@ go test -race -count 1 \
 echo "== catalog determinism under -race"
 # The catalog batch-solves shards across sweep workers; its byte-identical
 # determinism pin is exactly the kind of contract a data race would break
-# silently, so run it explicitly under the race detector too.
+# silently, so run it explicitly under the race detector too. The solver
+# golden digest and the warm/cold property drive the one solve loop that
+# every sweep worker runs for both cold and warm solves.
 go test -race -count 1 \
-	-run 'TestCatalogDeterminism|TestCatalogExperimentDeterminism|TestCatalogLifecycle' \
+	-run 'TestCatalogDeterminism|TestCatalogExperimentDeterminism|TestCatalogLifecycle|TestSolverGoldenDigest|TestWarmResolveMatchesColdProperty' \
 	./internal/catalog/ ./internal/experiments/
 
 echo "== coverage floors (scripts/coverage.baseline)"
