@@ -307,55 +307,31 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// dynamicAlpha evaluates the Theorem-2 expression from a round's exchanged
-// data; it matches core's dynamic stepsize bit for bit so the distributed
-// trajectory stays identical to the centralized one. Returns 0 when
-// degenerate.
-func dynamicAlpha(gs, hs []float64, safety float64) float64 {
-	var avg float64
-	for _, g := range gs {
-		avg += g
-	}
-	avg /= float64(len(gs))
-	var num, den float64
-	for i, g := range gs {
-		dev := g - avg
-		num += dev * dev
-		den += hs[i] * dev * dev
-	}
-	den = math.Abs(den)
-	if den < 1e-300 || num <= 0 {
-		return 0
-	}
-	return safety * 2 * num / den
-}
-
 // sendReliably sends payload to one peer, retrying transient failures up
-// to cfg.SendRetries times.
-func sendReliably(ctx context.Context, cfg Config, round, to int, payload []byte) error {
+// to retries times and reporting each retry to obs.
+func sendReliably(ctx context.Context, ep transport.Endpoint, retries int, obs Observer, round, to int, payload []byte) error {
 	var err error
-	for attempt := 0; attempt <= cfg.SendRetries; attempt++ {
-		if err = cfg.Endpoint.Send(ctx, to, payload); err == nil {
+	for attempt := 0; attempt <= retries; attempt++ {
+		if err = ep.Send(ctx, to, payload); err == nil {
 			return nil
 		}
 		if ctx.Err() != nil {
 			break
 		}
-		if attempt < cfg.SendRetries {
-			cfg.Observer.SendRetried(cfg.Endpoint.ID(), round, to, attempt+1, err)
+		if attempt < retries {
+			obs.SendRetried(ep.ID(), round, to, attempt+1, err)
 		}
 	}
 	return err
 }
 
 // broadcastReliably sends payload to every peer with per-peer retries.
-func broadcastReliably(ctx context.Context, cfg Config, round int, payload []byte) (sent int, err error) {
-	ep := cfg.Endpoint
+func broadcastReliably(ctx context.Context, ep transport.Endpoint, retries int, obs Observer, round int, payload []byte) (sent int, err error) {
 	for to := 0; to < ep.Peers(); to++ {
 		if to == ep.ID() {
 			continue
 		}
-		if err := sendReliably(ctx, cfg, round, to, payload); err != nil {
+		if err := sendReliably(ctx, ep, retries, obs, round, to, payload); err != nil {
 			return sent, err
 		}
 		sent++
@@ -558,6 +534,7 @@ func runBroadcast(ctx context.Context, cfg Config) (Outcome, error) {
 	gs := make([]float64, n)
 	hs := make([]float64, n)
 	group := make([]int, 0, n)
+	groups := [][]int{group} // the single planning group, for core.DynamicAlpha
 	alpha := cfg.Alpha
 	for round := cfg.StartRound; round < cfg.MaxRounds; round++ {
 		if err := ctx.Err(); err != nil {
@@ -593,7 +570,7 @@ func runBroadcast(ctx context.Context, cfg Config) (Outcome, error) {
 			if to == id || !alive[to] {
 				continue
 			}
-			if err := sendReliably(ctx, cfg, round, to, payload); err != nil {
+			if err := sendReliably(ctx, ep, cfg.SendRetries, cfg.Observer, round, to, payload); err != nil {
 				return out, fmt.Errorf("agent: broadcasting round %d: %w", round, err)
 			}
 			out.MessagesSent++
@@ -643,7 +620,8 @@ func runBroadcast(ctx context.Context, cfg Config) (Outcome, error) {
 			}
 		}
 		if cfg.DynamicAlphaSafety > 0 {
-			if dyn := dynamicAlpha(gs, hs, cfg.DynamicAlphaSafety); dyn > 0 {
+			groups[0] = group
+			if dyn := core.DynamicAlpha(gs, hs, groups, cfg.DynamicAlphaSafety); dyn > 0 {
 				alpha = dyn
 			}
 		}
@@ -729,6 +707,8 @@ func runCoordinator(ctx context.Context, cfg Config) (Outcome, error) {
 	n := ep.Peers()
 	id := ep.ID()
 	group := group01n(n)
+	groups := [][]int{group}
+	steps := make([]core.Step, 1)
 	buf := protocol.NewRoundBuffer(n)
 
 	x := cfg.Init
@@ -752,18 +732,18 @@ func runCoordinator(ctx context.Context, cfg Config) (Outcome, error) {
 		for node, rep := range reports {
 			xs[node], gs[node] = rep.Alloc, rep.Marginal
 		}
-		step, err := core.PlanStep(xs, gs, group, cfg.Alpha)
+		plan, err := core.PlanRound(steps, xs, gs, groups, cfg.Alpha, cfg.Epsilon, false)
 		if err != nil {
 			return out, fmt.Errorf("agent: planning round %d: %w", round, err)
 		}
-		spread := step.Spread(gs, group)
-		cfg.Observer.StepPlanned(id, round, spread, step.Delta[id])
-		done := spread < cfg.Epsilon || step.IsNoOp()
+		step := steps[0]
+		cfg.Observer.StepPlanned(id, round, plan.Spread, step.Delta[id])
+		done := plan.Converged || !plan.Movable
 		payload, err := protocol.EncodeUpdate(protocol.Update{Round: round, Delta: step.Delta, Done: done})
 		if err != nil {
 			return out, err
 		}
-		sent, err := broadcastReliably(ctx, cfg, round, payload)
+		sent, err := broadcastReliably(ctx, ep, cfg.SendRetries, cfg.Observer, round, payload)
 		out.MessagesSent += sent
 		if err != nil {
 			return out, fmt.Errorf("agent: distributing round %d: %w", round, err)
@@ -772,7 +752,7 @@ func runCoordinator(ctx context.Context, cfg Config) (Outcome, error) {
 			out.X = x
 			out.FullX = append([]float64(nil), xs...)
 			out.Rounds = round
-			out.Converged = spread < cfg.Epsilon
+			out.Converged = plan.Converged
 			cfg.Observer.RunFinished(id, out.Rounds, out.Converged)
 			return out, nil
 		}
@@ -811,7 +791,7 @@ func runWorker(ctx context.Context, cfg Config) (Outcome, error) {
 		if err != nil {
 			return out, err
 		}
-		if err := sendReliably(ctx, cfg, round, cfg.CoordinatorID, payload); err != nil {
+		if err := sendReliably(ctx, ep, cfg.SendRetries, cfg.Observer, round, cfg.CoordinatorID, payload); err != nil {
 			return out, fmt.Errorf("agent: reporting round %d: %w", round, err)
 		}
 		out.MessagesSent++

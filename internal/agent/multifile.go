@@ -169,6 +169,7 @@ func RunMultiFile(ctx context.Context, cfg MultiFileAgentConfig) (MultiFileOutco
 	// variable f·n + i.
 	xs := make([]float64, files*n)
 	gs := make([]float64, files*n)
+	steps := make([]core.Step, files)
 	groups := make([][]int, files)
 	for f := range groups {
 		g := make([]int, n)
@@ -193,7 +194,7 @@ func RunMultiFile(ctx context.Context, cfg MultiFileAgentConfig) (MultiFileOutco
 		if err != nil {
 			return out, err
 		}
-		sent, err := broadcastVectorReliably(ctx, ep, cfg.SendRetries, payload)
+		sent, err := broadcastReliably(ctx, ep, cfg.SendRetries, cfg.Observer, round, payload)
 		out.MessagesSent += sent
 		if err != nil {
 			return out, fmt.Errorf("agent: broadcasting round %d: %w", round, err)
@@ -210,26 +211,14 @@ func RunMultiFile(ctx context.Context, cfg MultiFileAgentConfig) (MultiFileOutco
 				xs[f*n+node], gs[f*n+node] = rep.Allocs[f], rep.Marginals[f]
 			}
 		}
-		converged := true
-		steps := make([]core.Step, files)
-		movable := false
-		for f := 0; f < files; f++ {
-			st, err := core.PlanStep(xs, gs, groups[f], cfg.Alpha)
-			if err != nil {
-				return out, fmt.Errorf("agent: planning round %d file %d: %w", round, f, err)
-			}
-			steps[f] = st
-			if st.Spread(gs, groups[f]) >= cfg.Epsilon {
-				converged = false
-			}
-			if !st.IsNoOp() {
-				movable = true
-			}
+		plan, err := core.PlanRound(steps, xs, gs, groups, cfg.Alpha, cfg.Epsilon, false)
+		if err != nil {
+			return out, fmt.Errorf("agent: planning round %d: %w", round, err)
 		}
-		if converged || !movable {
+		if plan.Converged || !plan.Movable {
 			out.X = x
 			out.Rounds = round
-			out.Converged = converged
+			out.Converged = plan.Converged
 			return out, nil
 		}
 		for f := 0; f < files; f++ {
@@ -287,27 +276,4 @@ func collectVectorReports(ctx context.Context, ep transport.Endpoint, timeout ti
 	}
 	obs.ReportsCollected(id, round, want, want)
 	return nil
-}
-
-// broadcastVectorReliably mirrors broadcastReliably without a full Config.
-func broadcastVectorReliably(ctx context.Context, ep transport.Endpoint, retries int, payload []byte) (sent int, err error) {
-	for to := 0; to < ep.Peers(); to++ {
-		if to == ep.ID() {
-			continue
-		}
-		var lastErr error
-		for attempt := 0; attempt <= retries; attempt++ {
-			if lastErr = ep.Send(ctx, to, payload); lastErr == nil {
-				break
-			}
-			if ctx.Err() != nil {
-				break
-			}
-		}
-		if lastErr != nil {
-			return sent, lastErr
-		}
-		sent++
-	}
-	return sent, nil
 }

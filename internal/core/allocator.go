@@ -68,7 +68,9 @@ type Result struct {
 	X []float64
 	// Utility is U(X).
 	Utility float64
-	// Iterations is the number of re-allocation steps performed.
+	// Iterations is the number of re-allocation steps performed. After a
+	// WarmSolver falls back to a cold continuation it counts only the
+	// continuation's steps, not the warm steps taken before it.
 	Iterations int
 	// Reason reports why the run stopped.
 	Reason StopReason
@@ -313,37 +315,37 @@ func (a *Allocator) RunWithScratch(ctx context.Context, init []float64, s *Scrat
 	if s == nil {
 		s = &Scratch{}
 	}
-	totals := growFloats(s.totals, len(a.groups))
-	s.totals = totals
+	u, err := a.prepare(init, s)
+	if err != nil {
+		return Result{}, err
+	}
+	return a.iterate(ctx, s, u, a.maxIter, a.kktCheck)
+}
+
+// prepare adopts init as the working allocation in s — checking it is
+// feasible for the totals it implies, since each group conserves its
+// initial sum — sizes every per-iteration buffer, and returns U(init).
+// init may alias s.x (the warm solver's cold continuation re-adopts its
+// own iterate in place).
+func (a *Allocator) prepare(init []float64, s *Scratch) (float64, error) {
+	s.totals = growFloats(s.totals, len(a.groups))
 	for gi, g := range a.groups {
-		totals[gi] = 0
+		s.totals[gi] = 0
 		for _, idx := range g {
 			if idx < len(init) {
-				totals[gi] += init[idx]
+				s.totals[gi] += init[idx]
 			}
 		}
 	}
-	if err := a.CheckFeasible(init, totals); err != nil {
-		return Result{}, err
+	if err := a.CheckFeasible(init, s.totals); err != nil {
+		return 0, err
 	}
-
-	x := growFloats(s.x, len(init))
-	s.x = x
-	copy(x, init)
-	grad := growFloats(s.grad, len(x))
-	s.grad = grad
-	for i := range grad {
-		grad[i] = 0
-	}
-	alpha := a.alpha
-
-	// All per-iteration scratch comes from s, so the inner loop below
-	// runs allocation-free (asserted by TestRunInnerLoopAllocFree):
-	// PlanStepInto reuses each group's Delta/Active buffers — growing
-	// them in place when a larger group appears — and dynamicAlpha
-	// reuses hess. Run stays reentrant because each call owns its
-	// scratch; sharing one Scratch across concurrent runs is the
-	// caller's bug.
+	s.x = growFloats(s.x, len(init))
+	copy(s.x, init)
+	s.grad = growFloats(s.grad, len(init))
+	clear(s.grad)
+	// PlanStepInto reuses each group's Delta/Active buffers, growing them
+	// in place when a larger group appears, so steps keeps its entries.
 	if cap(s.steps) < len(a.groups) {
 		steps := make([]Step, len(a.groups))
 		copy(steps, s.steps)
@@ -351,131 +353,125 @@ func (a *Allocator) RunWithScratch(ctx context.Context, init []float64, s *Scrat
 	} else {
 		s.steps = s.steps[:len(a.groups)]
 	}
-	steps := s.steps
-	var hess, xPrev []float64
 	if a.dynamicSafety > 0 {
-		hess = growFloats(s.hess, len(x))
-		s.hess = hess
-		xPrev = growFloats(s.xPrev, len(x))
-		s.xPrev = xPrev
-		for i := range hess {
-			hess[i] = 0
-			xPrev[i] = 0
-		}
+		s.hess = growFloats(s.hess, len(init))
+		s.xPrev = growFloats(s.xPrev, len(init))
+		clear(s.hess)
+		clear(s.xPrev)
 	}
-
-	u, err := a.obj.Utility(x)
+	u, err := a.obj.Utility(s.x)
 	if err != nil {
-		return Result{}, fmt.Errorf("core: evaluating initial utility: %w", err)
+		return 0, fmt.Errorf("core: evaluating initial utility: %w", err)
 	}
+	return u, nil
+}
+
+// maxHalvings bounds the Theorem-2 backtracking guard: after this many
+// halvings of α no representable step makes progress.
+const maxHalvings = 48
+
+// iterate is the solver: the section 5.2 iteration run on the allocation
+// prepare left in s, whose utility is u, for at most budget steps. A cold
+// solve runs it with the maxIter budget. A warm solve runs it first with
+// its MaxSteps budget and the boundary-KKT test forced on (kkt), then, if
+// that phase ends without a certified convergence, once more as a cold
+// solve from the iterate it reached. Running out of budget returns
+// StopMaxIterations with the allocation reached.
+//
+// Every buffer comes from s, so the loop is allocation-free (asserted by
+// TestRunInnerLoopAllocFree and TestWarmSolveSteadyStateAllocFree). It
+// stays reentrant because each call owns its scratch; sharing one Scratch
+// across concurrent runs is the caller's bug.
+//
+//fap:zeroalloc
+func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, budget int, kkt bool) (Result, error) {
+	x, grad, steps := s.x, s.grad, s.steps
+	dynamic := a.dynamicSafety > 0
+	curv, _ := a.obj.(Curvature) // NewAllocator checks it when dynamic
+	alpha := a.alpha
 	if a.trace != nil {
 		a.trace(Iteration{Index: 0, X: x, Utility: u, Alpha: alpha})
 	}
 
 	decreases := 0
 	prevU := u
-	for iter := 1; iter <= a.maxIter; iter++ {
+	for iter := 1; iter <= budget; iter++ {
 		if err := ctx.Err(); err != nil {
 			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopCanceled}, nil
 		}
 		if err := a.obj.Gradient(grad, x); err != nil {
 			return Result{}, fmt.Errorf("core: gradient at iteration %d: %w", iter, err)
 		}
-		if a.dynamicSafety > 0 {
-			dyn, err := a.dynamicAlpha(x, grad, hess)
-			if err != nil {
+		if dynamic {
+			if err := curv.SecondDerivative(s.hess, x); err != nil {
 				return Result{}, fmt.Errorf("core: dynamic alpha at iteration %d: %w", iter, err)
 			}
-			if dyn > 0 {
+			if dyn := DynamicAlpha(grad, s.hess, a.groups, a.dynamicSafety); dyn > 0 {
 				alpha = dyn
 			}
 		}
 
-		converged := true
-		movable := false
-		spread := 0.0
-		for gi, g := range a.groups {
-			if err := PlanStepInto(&steps[gi], x, grad, g, alpha); err != nil {
-				return Result{}, fmt.Errorf("core: planning iteration %d: %w", iter, err)
-			}
-			st := steps[gi]
-			sp := st.Spread(grad, g)
-			if sp > spread {
-				spread = sp
-			}
-			if sp >= a.epsilon {
-				converged = false
-			} else if a.kktCheck && !kktHolds(st, grad, x, g, a.epsilon) {
-				converged = false
-			}
-			for _, d := range st.Delta {
-				if d != 0 {
-					movable = true
-				}
-			}
+		plan, err := PlanRound(steps, x, grad, a.groups, alpha, a.epsilon, kkt)
+		if err != nil {
+			return Result{}, fmt.Errorf("core: planning iteration %d: %w", iter, err)
 		}
-		if converged {
+		if plan.Converged {
 			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopConverged, Converged: true}, nil
 		}
-		if !movable {
+		if !plan.Movable {
 			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopStalled}, nil
 		}
-		if xPrev != nil {
-			copy(xPrev, x)
-		}
-		for gi, g := range a.groups {
-			if err := steps[gi].Apply(x, g); err != nil {
-				return Result{}, fmt.Errorf("core: applying iteration %d: %w", iter, err)
-			}
-		}
 
-		u, err := a.obj.Utility(x)
-		if err != nil {
-			if xPrev == nil {
-				return Result{}, fmt.Errorf("core: utility at iteration %d: %w", iter, err)
-			}
-			// An overshot step can leave the iterate outside the model's
-			// domain entirely (a queue driven past its service rate has
-			// infinite cost, so Utility errors rather than returning a
-			// number). Treat it as a utility of -Inf: the backtracking
-			// guard below halves α from the saved iterate until the step
-			// lands back inside the domain.
-			u = math.Inf(-1)
-		}
 		// Theorem-2 backtracking guard, dynamic stepsize only: the bound is
 		// evaluated at the pre-step point, and M/M/1 curvature grows along
-		// the step, so a large move can overshoot the bound's validity region
-		// and lower U. Halving α — replanning and reapplying from the saved
-		// iterate — restores the monotone-ascent contract WithDynamicAlpha
-		// documents; trajectories that never overshoot are untouched.
-		if xPrev != nil && u < prevU {
-			for try := 0; try < 48 && u < prevU; try++ {
-				alpha /= 2
-				copy(x, xPrev)
-				for gi, g := range a.groups {
-					if err := PlanStepInto(&steps[gi], x, grad, g, alpha); err != nil {
-						return Result{}, fmt.Errorf("core: replanning iteration %d: %w", iter, err)
-					}
-					if err := steps[gi].Apply(x, g); err != nil {
-						return Result{}, fmt.Errorf("core: reapplying iteration %d: %w", iter, err)
-					}
-				}
-				if u, err = a.obj.Utility(x); err != nil {
-					u = math.Inf(-1) // still outside the domain: keep halving
+		// the step, so a large move can overshoot the bound's validity
+		// region and lower U. Halving α — replanning and reapplying from
+		// the saved iterate — restores the monotone-ascent contract
+		// WithDynamicAlpha documents; trajectories that never overshoot
+		// are untouched. An overshot step can also leave the iterate
+		// outside the model's domain entirely (a queue driven past its
+		// service rate has infinite cost, so Utility errors rather than
+		// returning a number); that counts as a utility of -Inf, so the
+		// guard halves α until the step lands back inside the domain.
+		if dynamic {
+			copy(s.xPrev, x)
+		}
+		for halvings := 0; ; halvings++ {
+			for gi, g := range a.groups {
+				if err := steps[gi].Apply(x, g); err != nil {
+					return Result{}, fmt.Errorf("core: applying iteration %d: %w", iter, err)
 				}
 			}
-			if u < prevU {
-				// No stepsize makes representable progress: hold the last
-				// good iterate rather than accept a descent.
-				copy(x, xPrev)
-				return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopStalled}, nil
+			if u, err = a.obj.Utility(x); err != nil {
+				if !dynamic {
+					return Result{}, fmt.Errorf("core: utility at iteration %d: %w", iter, err)
+				}
+				u = math.Inf(-1)
 			}
+			if !dynamic || u >= prevU || halvings == maxHalvings {
+				break
+			}
+			alpha /= 2
+			copy(x, s.xPrev)
+			// Replan without the termination test, which the backtrack
+			// does not need: stiff instances halve many times per step.
+			for gi, g := range a.groups {
+				if err := PlanStepInto(&steps[gi], x, grad, g, alpha); err != nil {
+					return Result{}, fmt.Errorf("core: replanning iteration %d: %w", iter, err)
+				}
+			}
+		}
+		if dynamic && u < prevU {
+			// No stepsize makes representable progress: hold the last
+			// good iterate rather than accept a descent.
+			copy(x, s.xPrev)
+			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopStalled}, nil
 		}
 		if math.IsNaN(u) || math.IsInf(u, 0) {
 			return Result{}, fmt.Errorf("%w: utility %v at iteration %d", ErrDiverged, u, iter)
 		}
 		if a.trace != nil {
-			a.trace(Iteration{Index: iter, X: x, Utility: u, Spread: spread, Alpha: alpha})
+			a.trace(Iteration{Index: iter, X: x, Utility: u, Spread: plan.Spread, Alpha: alpha})
 		}
 
 		if a.adapt != nil {
@@ -494,7 +490,51 @@ func (a *Allocator) RunWithScratch(ctx context.Context, init []float64, s *Scrat
 		}
 		prevU = u
 	}
-	return Result{X: x, Utility: prevU, Iterations: a.maxIter, Reason: StopMaxIterations}, nil
+	return Result{X: x, Utility: prevU, Iterations: budget, Reason: StopMaxIterations}, nil
+}
+
+// RoundPlan summarizes one iteration planned over every constraint group.
+type RoundPlan struct {
+	// Spread is the largest marginal-utility spread over any group's
+	// active set.
+	Spread float64
+	// Converged reports that the termination test holds: every group's
+	// spread is below ε and, when the boundary test is on, every group
+	// satisfies the KKT boundary condition (see WithKKTCheck).
+	Converged bool
+	// Movable reports that at least one planned step moves something;
+	// when it is false and Converged is not, the iteration has stalled.
+	Movable bool
+}
+
+// PlanRound plans one iteration: a PlanStepInto per group into the
+// matching entry of steps (len(steps) must equal len(groups)), evaluated
+// against section 5.2's termination test with threshold eps, plus the
+// boundary half of the KKT conditions when kkt is set. Every solver —
+// the centralized Allocator and the agents' coordinator and multi-file
+// rounds — plans and tests its iterations through it, so they stop on
+// identical criteria.
+//
+//fap:zeroalloc
+func PlanRound(steps []Step, x, grad []float64, groups [][]int, alpha, eps float64, kkt bool) (RoundPlan, error) {
+	plan := RoundPlan{Converged: true}
+	for gi, g := range groups {
+		st := &steps[gi]
+		if err := PlanStepInto(st, x, grad, g, alpha); err != nil {
+			return RoundPlan{}, err
+		}
+		sp := st.Spread(grad, g)
+		if sp > plan.Spread {
+			plan.Spread = sp
+		}
+		if sp >= eps || kkt && !kktHolds(*st, grad, x, g, eps) {
+			plan.Converged = false
+		}
+		if !st.IsNoOp() {
+			plan.Movable = true
+		}
+	}
+	return plan, nil
 }
 
 // kktHolds reports whether every variable excluded from the active set and
@@ -514,22 +554,21 @@ func kktHolds(st Step, grad, x []float64, group []int, eps float64) bool {
 	return true
 }
 
-// dynamicAlpha evaluates the Theorem-2 expression
+// DynamicAlpha evaluates the Theorem-2 stepsize bound
 //
 //	α < 2·Σ g_i(g_i − ḡ) / |Σ h_i (g_i − ḡ)²|
 //
-// at the current point, scaled by the configured safety factor. hess is
-// caller-owned scratch of len(x) entries. It returns 0 when the
-// expression is degenerate (already converged or flat).
+// summed over every group (ḡ is each group's mean marginal utility), from
+// the marginal utilities grad and second derivatives hess, scaled by
+// safety. It returns 0 when the expression is degenerate (already
+// converged or flat). The Allocator's dynamic stepsize and the broadcast
+// agents' round stepsize both come from it, so the decentralized
+// trajectory matches the centralized one bit for bit.
 //
 //fap:zeroalloc
-func (a *Allocator) dynamicAlpha(x, grad, hess []float64) (float64, error) {
-	curv := a.obj.(Curvature) // checked in NewAllocator
-	if err := curv.SecondDerivative(hess, x); err != nil {
-		return 0, err
-	}
+func DynamicAlpha(grad, hess []float64, groups [][]int, safety float64) float64 {
 	var num, den float64
-	for _, g := range a.groups {
+	for _, g := range groups {
 		var avg float64
 		for _, gi := range g {
 			avg += grad[gi]
@@ -543,7 +582,7 @@ func (a *Allocator) dynamicAlpha(x, grad, hess []float64) (float64, error) {
 	}
 	den = math.Abs(den)
 	if den < 1e-300 || num <= 0 {
-		return 0, nil
+		return 0
 	}
-	return a.dynamicSafety * 2 * num / den, nil
+	return safety * 2 * num / den
 }

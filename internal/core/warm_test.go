@@ -248,8 +248,8 @@ func TestNewWarmSolverValidation(t *testing.T) {
 
 // TestWarmSolveSteadyStateAllocFree pins the warm-solve hot path at zero
 // heap allocations once the scratch is warm — the catalog's re-solve loop
-// relies on it (satellite of the //fap:zeroalloc annotation on
-// incrementalStep).
+// relies on it (satellite of the //fap:zeroalloc annotation on the
+// shared iteration, Allocator.iterate).
 func TestWarmSolveSteadyStateAllocFree(t *testing.T) {
 	const n = 32
 	cold, err := NewAllocator(quad{n}, WithAlpha(0.4/n), WithEpsilon(1e-6))
@@ -279,11 +279,17 @@ func TestWarmSolveSteadyStateAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("warm SolveWarm allocated %.1f objects per call, want 0", allocs)
 	}
+	// One step of the shared iteration from the stale point, under the
+	// warm phase's settings: the loop both solves run.
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, _, _, err := warm.incrementalStep(s, 0); err != nil {
+		u, err := cold.prepare(stale, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cold.iterate(ctx, s, u, 1, true); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("incrementalStep allocated %.1f objects per call, want 0", allocs)
+		t.Errorf("iterate allocated %.1f objects per call, want 0", allocs)
 	}
 }
