@@ -404,9 +404,12 @@ func (c *Catalog) SolveCold(ctx context.Context) (Stats, error) {
 		func(ctx context.Context, si int, s *solveScratch) error {
 			sh := c.shards[si]
 			st := &per[si]
+			done := ctx.Done()
 			for o := 0; o < sh.count(); o++ {
-				if err := ctx.Err(); err != nil {
-					return err
+				select {
+				case <-done:
+					return ctx.Err()
+				default:
 				}
 				for j := range s.init {
 					s.init[j] = 1 / float64(nodes)
@@ -522,9 +525,12 @@ func (c *Catalog) ReSolve(ctx context.Context) (Stats, error) {
 		func(ctx context.Context, si int, s *solveScratch) error {
 			sh := c.shards[si]
 			st := &per[si]
+			done := ctx.Done()
 			for o := 0; o < sh.count(); o++ {
-				if err := ctx.Err(); err != nil {
-					return err
+				select {
+				case <-done:
+					return ctx.Err()
+				default:
 				}
 				var err error
 				s.drifted, err = sh.trackers[o].AppendDrifted(s.drifted[:0], now, threshold)

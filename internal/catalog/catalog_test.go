@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"filealloc/internal/metrics"
+	"filealloc/internal/sweep"
 )
 
 // testConfig is a small catalog exercising multiple shards, including a
@@ -224,6 +225,33 @@ func TestCatalogZeroDriftSkipsEverything(t *testing.T) {
 		}
 		if !reflect.DeepEqual(baseline.X, c.Snapshot().X) {
 			t.Fatalf("epoch %d: zero-drift re-solve changed an allocation", epoch)
+		}
+	}
+}
+
+// TestCatalogCanceled: a canceled context stops the cold fill and the
+// warm pass with an error wrapping context.Canceled, on the serial sweep
+// path and across workers alike.
+func TestCatalogCanceled(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		c, err := New(testConfig())
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		ctx := sweep.WithWorkers(context.Background(), workers)
+		canceled, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, err := c.SolveCold(canceled); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: SolveCold err = %v, want context.Canceled", workers, err)
+		}
+		if _, err := c.SolveCold(ctx); err != nil {
+			t.Fatalf("workers=%d: SolveCold: %v", workers, err)
+		}
+		if err := c.Sense(ctx); err != nil {
+			t.Fatalf("workers=%d: Sense: %v", workers, err)
+		}
+		if _, err := c.ReSolve(canceled); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: ReSolve err = %v, want context.Canceled", workers, err)
 		}
 	}
 }

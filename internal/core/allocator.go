@@ -395,9 +395,16 @@ func (a *Allocator) iterate(ctx context.Context, s *Scratch, u float64, budget i
 
 	decreases := 0
 	prevU := u
+	// Cancellation is polled every iteration by a non-blocking receive
+	// on the Done channel, loaded once: ctx.Err() locks the context's
+	// mutex, which every sweep worker sharing the context would contend
+	// on each step.
+	done := ctx.Done()
 	for iter := 1; iter <= budget; iter++ {
-		if err := ctx.Err(); err != nil {
+		select {
+		case <-done:
 			return Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: StopCanceled}, nil
+		default:
 		}
 		if err := a.obj.Gradient(grad, x); err != nil {
 			return Result{}, fmt.Errorf("core: gradient at iteration %d: %w", iter, err)

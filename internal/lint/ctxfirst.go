@@ -15,9 +15,13 @@ var ctxStructExemptSegments = map[string]bool{"sweep": true}
 // interface methods, and function-typed fields alike), and it is never
 // stored in a struct outside internal/sweep. A stored context outlives the
 // call it belongs to and silently detaches cancellation from the caller.
+// Inside a //fap:zeroalloc function — the per-iteration hot paths — it
+// also forbids context.Context.Err: a cancelable context's Err locks its
+// mutex, which every sweep worker sharing the context contends on, while a
+// non-blocking receive from a Done channel loaded once takes no lock.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
-	Doc:  "context.Context must be the first parameter and never live in a struct outside internal/sweep",
+	Doc:  "context.Context must be the first parameter, never live in a struct outside internal/sweep, and not be polled with Err in a //fap:zeroalloc function",
 	Run:  runCtxFirst,
 }
 
@@ -40,7 +44,27 @@ func runCtxFirst(p *Pass) {
 			}
 			return true
 		})
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && hasDirective(fd.Doc, zeroAllocDirective) {
+				checkCtxErrPoll(p, fd.Body)
+			}
+		}
 	}
+}
+
+// checkCtxErrPoll reports every context.Context.Err call in body.
+func checkCtxErrPoll(p *Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if ok && sel.Sel.Name == "Err" && isContextType(p.Info.TypeOf(sel.X)) {
+			p.Reportf(call.Pos(), "context.Context.Err locks the context's mutex in a //fap:zeroalloc function; poll ctx.Done() with a non-blocking select")
+		}
+		return true
+	})
 }
 
 func checkCtxParamOrder(p *Pass, ft *ast.FuncType) {

@@ -11,7 +11,7 @@ import (
 // its sweep-package exemption (where parameter order is still enforced).
 func TestCtxFirst(t *testing.T) {
 	for _, tc := range []fixtureCase{
-		{pkg: "ctxfix", analyzer: lint.CtxFirst, wants: 4},
+		{pkg: "ctxfix", analyzer: lint.CtxFirst, wants: 5},
 		{pkg: "sweep", analyzer: lint.CtxFirst, wants: 1},
 		{pkg: "loadgen", analyzer: lint.CtxFirst, wants: 1},
 	} {

@@ -32,3 +32,40 @@ type callback func(n int, ctx context.Context) // want ctxfirst: first parameter
 
 // goodCallback is the clean function-typed case.
 type goodCallback func(ctx context.Context, n int)
+
+// pollErr polls cancellation through the context's mutex in a hot loop.
+//
+//fap:zeroalloc
+func pollErr(ctx context.Context, n int) int {
+	i := 0
+	for ; i < n; i++ {
+		if ctx.Err() != nil { // want ctxfirst: non-blocking select
+			break
+		}
+	}
+	return i
+}
+
+// pollDone is the lock-free poll the rule asks for.
+//
+//fap:zeroalloc
+func pollDone(ctx context.Context, n int) int {
+	done := ctx.Done()
+	i := 0
+	for ; i < n; i++ {
+		select {
+		case <-done:
+			return i
+		default:
+		}
+	}
+	return i
+}
+
+// coldErr is not annotated, so Err stays allowed outside hot paths.
+func coldErr(ctx context.Context) error { return ctx.Err() }
+
+// Polls uses the unexported pollers so the fixture compiles without vet noise.
+func Polls(ctx context.Context) (int, int, error) {
+	return pollErr(ctx, 1), pollDone(ctx, 1), coldErr(ctx)
+}

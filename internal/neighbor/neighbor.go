@@ -178,11 +178,14 @@ func solveFrom(ctx context.Context, cfg Config, x []float64) (Result, error) {
 	n := obj.Dim()
 	grad := make([]float64, n)
 	res := Result{}
+	done := ctx.Done()
 	for iter := 1; iter <= cfg.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
+		select {
+		case <-done:
 			res.X = x
 			res.Iterations = iter - 1
 			return res, nil
+		default:
 		}
 		if err := obj.Gradient(grad, x); err != nil {
 			return Result{}, fmt.Errorf("neighbor: gradient at iteration %d: %w", iter, err)

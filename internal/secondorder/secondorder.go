@@ -258,9 +258,12 @@ func (a *Allocator) Run(ctx context.Context, init []float64) (core.Result, error
 		a.trace(core.Iteration{Index: 0, X: x, Utility: u, Alpha: a.alpha})
 	}
 	prevU := u
+	done := ctx.Done()
 	for iter := 1; iter <= a.maxIter; iter++ {
-		if err := ctx.Err(); err != nil {
+		select {
+		case <-done:
 			return core.Result{X: x, Utility: prevU, Iterations: iter - 1, Reason: core.StopCanceled}, nil
+		default:
 		}
 		if err := a.obj.Gradient(grad, x); err != nil {
 			return core.Result{}, fmt.Errorf("secondorder: gradient at iteration %d: %w", iter, err)

@@ -105,9 +105,12 @@ func RunWithScratch[S any](ctx context.Context, n, workers int, newScratch func(
 		// The serial reference path: identical to the loop it replaces,
 		// with one scratch serving every item in index order.
 		scratch := newScratch()
+		done := ctx.Done()
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
 			}
 			m.claimed(int64(n - i))
 			if err := fn(ctx, i, scratch); err != nil {
@@ -125,6 +128,10 @@ func RunWithScratch[S any](ctx context.Context, n, workers int, newScratch func(
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// Workers poll cancellation through the shared Done channel with a
+	// non-blocking receive, which takes no lock; cctx.Err() would make
+	// every worker contend on the context's mutex once per item.
+	done := cctx.Done()
 
 	var (
 		next     atomic.Int64 // next item index to claim (chunk base)
@@ -165,8 +172,10 @@ func RunWithScratch[S any](ctx context.Context, n, workers int, newScratch func(
 					made = true
 				}
 				for i := base; i < end; i++ {
-					if err := cctx.Err(); err != nil {
+					select {
+					case <-done:
 						return
+					default:
 					}
 					m.claimed(int64(n - i))
 					if err := fn(cctx, i, scratch); err != nil {

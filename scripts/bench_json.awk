@@ -8,7 +8,10 @@
 #
 #	BenchmarkName/sub-P  <iterations>  <ns-per-op>  ns/op  [more pairs]
 #
-# and only lines of exactly that shape are stored. The matcher is one
+# and only lines of exactly that shape are stored. "nproc" records the
+# cores variable (the host's online CPU count); "gomaxprocs" is the -P
+# suffix go test appends to the first result's name, which it omits when
+# GOMAXPROCS is 1. The matcher is one
 # pattern with every field validated numerically. The previous inline
 # version had two defects this file pins down (see the fixture under
 # scripts/testdata/): an `a && b || c` precedence slip let an arm that
@@ -31,6 +34,10 @@ BEGIN { n = 0 }
 	&& $2 ~ /^[0-9]+$/ \
 	&& $3 ~ /^[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?$/ {
 	name = $1
+	if (n == 0) {
+		procs = 1
+		if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
+	}
 	sub(/-[0-9]+$/, "", name)   # strip the -GOMAXPROCS suffix
 	iters[n] = $2
 	nsop[n] = $3
@@ -43,7 +50,8 @@ END {
 	printf "  \"goos\": \"%s\",\n", jesc(goos)
 	printf "  \"goarch\": \"%s\",\n", jesc(goarch)
 	printf "  \"cpu\": \"%s\",\n", jesc(cpu)
-	printf "  \"gomaxprocs\": %d,\n", cores
+	printf "  \"nproc\": %d,\n", cores
+	printf "  \"gomaxprocs\": %s,\n", (n > 0 ? procs : "null")
 	printf "  \"benchmarks\": [\n"
 	for (i = 0; i < n; i++) {
 		printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s}%s\n", \

@@ -68,10 +68,11 @@ echo "== catalog determinism under -race"
 # determinism pin is exactly the kind of contract a data race would break
 # silently, so run it explicitly under the race detector too. The solver
 # golden digest and the warm/cold property drive the one solve loop that
-# every sweep worker runs for both cold and warm solves.
+# every sweep worker runs for both cold and warm solves. The cancellation
+# tests ride along: every sweep worker polls one shared Done channel.
 go test -race -count 1 \
-	-run 'TestCatalogDeterminism|TestCatalogExperimentDeterminism|TestCatalogLifecycle|TestSolverGoldenDigest|TestWarmResolveMatchesColdProperty' \
-	./internal/catalog/ ./internal/experiments/
+	-run 'TestCatalogDeterminism|TestCatalogExperimentDeterminism|TestCatalogLifecycle|TestSolverGoldenDigest|TestWarmResolveMatchesColdProperty|TestCancelAtIteration|TestCatalogCanceled|TestContextCancellation' \
+	./internal/catalog/ ./internal/experiments/ ./internal/core/ ./internal/sweep/
 
 echo "== coverage floors (scripts/coverage.baseline)"
 # Statement coverage must not regress below the recorded per-package
@@ -110,10 +111,11 @@ echo "== bench_json.awk fixture"
 # The JSON emitter is plain awk; pin it against a recorded go-test
 # transcript (including malformed lines and a cpu string with quotes and
 # a backslash) so a matcher or escaping regression shows up as a diff,
-# not as invalid JSON in CI artifacts.
+# not as invalid JSON in CI artifacts. cores differs from the transcript's
+# -8 suffix so a swap of "nproc" and "gomaxprocs" shows up too.
 AWK_OUT="$(mktemp)"
 trap 'rm -f "$FAPVET_JSON" "$AWK_OUT"' EXIT
-awk -v cores=8 -f scripts/bench_json.awk scripts/testdata/bench_raw.txt > "$AWK_OUT"
+awk -v cores=2 -f scripts/bench_json.awk scripts/testdata/bench_raw.txt > "$AWK_OUT"
 if ! diff -u scripts/testdata/bench_golden.json "$AWK_OUT"; then
 	echo "bench_json.awk output diverged from scripts/testdata/bench_golden.json" >&2
 	exit 1
